@@ -20,7 +20,9 @@ import (
 // require at least minValidCohorts valid cohorts. Backpressure (HTTP
 // 429) is a counted outcome, not an error — a bounded queue turning
 // work away is the serve layer working as designed; transport failures
-// and 5xx responses are what invalidate a cohort.
+// and 5xx responses are what invalidate a cohort. Before each cohort a
+// drain barrier waits until every target reports an empty queue on
+// /healthz, so no cohort inherits an earlier cohort's backlog.
 func Loadgen(w io.Writer, args []string) error {
 	fs := newFlagSet("loadgen")
 	targets := fs.String("targets", "http://127.0.0.1:8377", "comma-separated serve base URLs (or host:port)")
@@ -103,12 +105,12 @@ const (
 
 // classStats aggregates one admission class within one cohort.
 type classStats struct {
-	Accepted    int       `json:"accepted"`
-	Backpressed int       `json:"backpressed"`
-	Invalid     int       `json:"invalid"`
-	P50Micros   int64     `json:"p50Micros"`
-	P90Micros   int64     `json:"p90Micros"`
-	P99Micros   int64     `json:"p99Micros"`
+	Accepted    int     `json:"accepted"`
+	Backpressed int     `json:"backpressed"`
+	Invalid     int     `json:"invalid"`
+	P50Micros   int64   `json:"p50Micros"`
+	P90Micros   int64   `json:"p90Micros"`
+	P99Micros   int64   `json:"p99Micros"`
 	latencies   []int64 // accepted-submission latencies, µs
 }
 
@@ -155,6 +157,10 @@ func runLoad(urls []string, clients, cohorts int, dur time.Duration, mix, scale 
 	client := &http.Client{Timeout: 30 * time.Second}
 	report := &LoadReport{Targets: urls, Clients: clients, Mix: mix}
 	for c := 0; c < cohorts; c++ {
+		if err := drainQueues(client, urls, drainTimeout); err != nil {
+			report.Cohorts = append(report.Cohorts, CohortReport{Index: c, Seconds: dur.Seconds(), Reason: err.Error()})
+			continue
+		}
 		report.Cohorts = append(report.Cohorts, runCohort(client, urls, clients, c, dur, mix, scale, seed))
 	}
 	var lat []int64
@@ -175,6 +181,57 @@ func runLoad(urls []string, clients, cohorts int, dur time.Duration, mix, scale 
 		report.AggP99Micros = percentile(lat, 99)
 	}
 	return report
+}
+
+// drainTimeout bounds the wait for the targets' queues to empty before a
+// cohort; a cohort whose targets do not drain in time is not run and
+// counts as invalid.
+const drainTimeout = 30 * time.Second
+
+// drainPoll is the /healthz polling interval of the drain barrier.
+const drainPoll = 5 * time.Millisecond
+
+// drainQueues is the barrier between cohorts: it polls each target's
+// /healthz until the reported queue depth is 0, so every cohort starts
+// from the same empty-queue state. It fails on a transport error, a
+// non-200 probe, or when timeout passes first.
+func drainQueues(client *http.Client, urls []string, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for _, u := range urls {
+		for {
+			depth, err := queueDepth(client, u)
+			if err != nil {
+				return fmt.Errorf("drain: %v", err)
+			}
+			if depth == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("drain: %s still has %d queued jobs after %v", u, depth, timeout)
+			}
+			time.Sleep(drainPoll)
+		}
+	}
+	return nil
+}
+
+// queueDepth reads the queueDepth a serve node reports on /healthz.
+func queueDepth(client *http.Client, target string) (int, error) {
+	resp, err := client.Get(target + "/healthz")
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("%s/healthz: %s", target, resp.Status)
+	}
+	var h struct {
+		QueueDepth int `json:"queueDepth"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		return 0, fmt.Errorf("%s/healthz: %v", target, err)
+	}
+	return h.QueueDepth, nil
 }
 
 // runCohort runs one fixed-duration window with the full client set.

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"diogenes/internal/serve"
 )
@@ -81,6 +85,32 @@ func TestLoadgenGateFailsOnDeadTarget(t *testing.T) {
 	var ec *ExitCodeError
 	if !errors.As(err, &ec) || ec.Code != 3 {
 		t.Fatalf("gate failure error %v, want ExitCodeError code 3", err)
+	}
+}
+
+// TestDrainQueuesWaitsForEmptyQueue: the barrier between cohorts returns
+// only once /healthz reports depth 0, and gives up on a queue that never
+// drains.
+func TestDrainQueuesWaitsForEmptyQueue(t *testing.T) {
+	var probes atomic.Int32
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		depth := max(0, 3-int(probes.Add(1)))
+		fmt.Fprintf(w, `{"status":"ok","queueDepth":%d}`, depth)
+	}))
+	defer draining.Close()
+	if err := drainQueues(http.DefaultClient, []string{draining.URL}, time.Minute); err != nil {
+		t.Fatalf("drain of an emptying queue: %v", err)
+	}
+	if n := probes.Load(); n != 3 {
+		t.Fatalf("drain returned after %d probes, want 3 (depth 2, 1, 0)", n)
+	}
+
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(w, `{"status":"ok","queueDepth":4}`)
+	}))
+	defer stuck.Close()
+	if err := drainQueues(http.DefaultClient, []string{stuck.URL}, 20*time.Millisecond); err == nil {
+		t.Fatal("drain of a stuck queue succeeded")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"diogenes/internal/memory"
 )
 
 // DevPtr is an address in device memory. The device and host address spaces
@@ -17,11 +19,12 @@ var ErrOutOfMemory = errors.New("gpu: out of device memory")
 // memory.
 var ErrBadDevPtr = errors.New("gpu: invalid device pointer")
 
-// DevBuf is an allocation in device memory.
+// DevBuf is an allocation in device memory. Its bytes live in a lazy
+// memory.Backing, the same storage host regions use.
 type DevBuf struct {
 	base  DevPtr
 	size  int
-	data  []byte
+	mem   memory.Backing
 	freed bool
 	label string
 }
@@ -64,7 +67,7 @@ func (d *Device) Malloc(n int, label string) (*DevBuf, error) {
 	if a.live+int64(n) > a.capacity {
 		return nil, fmt.Errorf("%w: need %d, %d live of %d", ErrOutOfMemory, n, a.live, a.capacity)
 	}
-	b := &DevBuf{base: a.next, size: n, data: make([]byte, n), label: label}
+	b := &DevBuf{base: a.next, size: n, mem: memory.NewBacking(n), label: label}
 	a.next += DevPtr(n)
 	// Keep 256-byte alignment like cudaMalloc.
 	a.next = (a.next + 255) / 256 * 256
@@ -83,7 +86,7 @@ func (d *Device) FreeBuf(b *DevBuf) error {
 		return fmt.Errorf("%w: double free of %q", ErrBadDevPtr, b.label)
 	}
 	b.freed = true
-	b.data = nil
+	b.mem.Release()
 	d.mem.live -= int64(b.size)
 	d.mem.frees++
 	return nil
@@ -109,7 +112,7 @@ func (d *Device) DevWrite(ptr DevPtr, p []byte) error {
 	if ptr+DevPtr(len(p)) > b.End() {
 		return fmt.Errorf("%w: write past end of %q", ErrBadDevPtr, b.label)
 	}
-	copy(b.data[int(ptr-b.base):], p)
+	b.mem.WriteAt(p, int(ptr-b.base))
 	return nil
 }
 
@@ -123,14 +126,16 @@ func (d *Device) DevRead(ptr DevPtr, n int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: read past end of %q", ErrBadDevPtr, b.label)
 	}
 	out := make([]byte, n)
-	copy(out, b.data[int(ptr-b.base):])
+	b.mem.ReadAt(out, int(ptr-b.base))
 	return out, nil
 }
 
 // DevReadView is DevRead without the copy: it returns a slice aliasing the
-// buffer's live bytes. Callers must treat it as read-only and must not
-// retain it past the operation that requested it — later DevWrite, DevFill
-// or FreeBuf calls change or invalidate the contents.
+// buffer's live bytes, materializing the buffer's backing if it was still
+// uniform. Callers must treat it as read-only and must not retain it past
+// the operation that requested it — a later DevWrite or partial DevFill
+// changes its contents, and a later whole-buffer DevFill or FreeBuf
+// detaches it from the buffer.
 func (d *Device) DevReadView(ptr DevPtr, n int) ([]byte, error) {
 	b := d.BufAt(ptr)
 	if b == nil {
@@ -139,11 +144,11 @@ func (d *Device) DevReadView(ptr DevPtr, n int) ([]byte, error) {
 	if ptr+DevPtr(n) > b.End() {
 		return nil, fmt.Errorf("%w: read past end of %q", ErrBadDevPtr, b.label)
 	}
-	off := int(ptr - b.base)
-	return b.data[off : off+n : off+n], nil
+	return b.mem.View(int(ptr-b.base), n), nil
 }
 
-// DevFill sets n bytes at ptr to value v (memset landing).
+// DevFill sets n bytes at ptr to value v (memset landing). Filling a whole
+// buffer allocates nothing.
 func (d *Device) DevFill(ptr DevPtr, v byte, n int) error {
 	b := d.BufAt(ptr)
 	if b == nil {
@@ -152,10 +157,7 @@ func (d *Device) DevFill(ptr DevPtr, v byte, n int) error {
 	if ptr+DevPtr(n) > b.End() {
 		return fmt.Errorf("%w: fill past end of %q", ErrBadDevPtr, b.label)
 	}
-	off := int(ptr - b.base)
-	for i := 0; i < n; i++ {
-		b.data[off+i] = v
-	}
+	b.mem.Fill(int(ptr-b.base), v, n)
 	return nil
 }
 

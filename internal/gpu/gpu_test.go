@@ -256,6 +256,30 @@ func TestDevReadWriteFill(t *testing.T) {
 	}
 }
 
+func TestDevWholeFillThenPartialWrite(t *testing.T) {
+	_, d := newDev()
+	b, _ := d.Malloc(64, "buf")
+	if err := d.DevFill(b.Base(), 0xAA, b.Size()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.DevWrite(b.Base()+10, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.DevRead(b.Base(), b.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		want := byte(0xAA)
+		if i >= 10 && i < 13 {
+			want = byte(i - 9)
+		}
+		if v != want {
+			t.Fatalf("byte %d = %#x, want %#x", i, v, want)
+		}
+	}
+}
+
 func TestDevAccessErrors(t *testing.T) {
 	_, d := newDev()
 	b, _ := d.Malloc(16, "buf")

@@ -9,9 +9,10 @@
 // mprotect to prove a removed transfer's source is never modified.
 //
 // Space reproduces those capabilities: it allocates labelled regions in a
-// flat virtual address space, stores their actual bytes (so stage 3 can hash
-// transfer payloads), dispatches instrumented Load/Store accesses to range
-// watchers, and supports an mprotect-style write protection flag.
+// flat virtual address space, stores their actual bytes in lazy Backings (so
+// stage 3 can hash transfer payloads), dispatches instrumented Load/Store
+// accesses to range watchers, and supports an mprotect-style write
+// protection flag.
 package memory
 
 import (
@@ -75,7 +76,7 @@ type Region struct {
 	base      Addr
 	size      int
 	label     string
-	data      []byte
+	mem       Backing
 	protected bool
 	freed     bool
 }
@@ -159,7 +160,7 @@ func (s *Space) Alloc(size int, label string) *Region {
 		panic(fmt.Sprintf("memory: Alloc size %d", size))
 	}
 	base := s.next
-	r := &Region{base: base, size: size, label: label, data: make([]byte, size)}
+	r := &Region{base: base, size: size, label: label, mem: NewBacking(size)}
 	s.next = roundUp(base+Addr(size), PageSize)
 	s.regions = append(s.regions, r)
 	return r
@@ -177,7 +178,7 @@ func (s *Space) Free(r *Region) {
 		panic(fmt.Sprintf("memory: double free of %q", r.label))
 	}
 	r.freed = true
-	r.data = nil
+	r.mem.Release()
 }
 
 // Protect write-protects the region (mprotect(PROT_READ) analog). Subsequent
@@ -252,9 +253,8 @@ func (s *Space) Load(site Site, addr Addr, n int) ([]byte, error) {
 	}
 	s.loads++
 	s.dispatch(Access{Kind: Load, Addr: addr, Size: n, Site: site})
-	off := int(addr - r.base)
 	out := make([]byte, n)
-	copy(out, r.data[off:off+n])
+	r.mem.ReadAt(out, int(addr-r.base))
 	return out, nil
 }
 
@@ -275,7 +275,7 @@ func (s *Space) Store(site Site, addr Addr, p []byte) error {
 	}
 	s.stores++
 	s.dispatch(Access{Kind: Store, Addr: addr, Size: len(p), Site: site})
-	copy(r.data[int(addr-r.base):], p)
+	r.mem.WriteAt(p, int(addr-r.base))
 	return nil
 }
 
@@ -290,16 +290,17 @@ func (s *Space) Peek(addr Addr, n int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: peek past end of %q", ErrOutOfRange, r.label)
 	}
 	out := make([]byte, n)
-	copy(out, r.data[int(addr-r.base):int(addr-r.base)+n])
+	r.mem.ReadAt(out, int(addr-r.base))
 	return out, nil
 }
 
 // PeekView is Peek without the copy: it returns a slice aliasing the
-// region's live bytes. Callers must treat it as read-only and must not
-// retain it past the operation that requested it — any later Store, Poke or
-// Free changes or invalidates the contents. The driver's transfer paths use
-// it so capturing a payload for hashing does not cost an allocation per
-// transfer.
+// region's live bytes, materializing the region's backing if it was still
+// uniform. Callers must treat it as read-only and must not retain it past
+// the operation that requested it — any later Store, Poke or partial Fill
+// changes its contents, and a later whole-region Fill or Free detaches it
+// from the region. The driver's transfer paths use it so capturing a
+// payload for hashing does not cost an allocation per transfer.
 func (s *Space) PeekView(addr Addr, n int) ([]byte, error) {
 	r := s.RegionAt(addr)
 	if r == nil {
@@ -308,8 +309,7 @@ func (s *Space) PeekView(addr Addr, n int) ([]byte, error) {
 	if addr+Addr(n) > r.End() {
 		return nil, fmt.Errorf("%w: peek past end of %q", ErrOutOfRange, r.label)
 	}
-	off := int(addr - r.base)
-	return r.data[off : off+n : off+n], nil
+	return r.mem.View(int(addr-r.base), n), nil
 }
 
 // Poke writes p at addr without generating an access event (DMA write path,
@@ -325,7 +325,25 @@ func (s *Space) Poke(addr Addr, p []byte) error {
 	if r.protected {
 		return fmt.Errorf("%w: %q at %#x", ErrProtected, r.label, addr)
 	}
-	copy(r.data[int(addr-r.base):], p)
+	r.mem.WriteAt(p, int(addr-r.base))
+	return nil
+}
+
+// Fill sets n bytes at addr to v without generating an access event (the
+// host side of a memset on unified memory). It performs the same checks as
+// Poke; a fill of a whole region allocates nothing.
+func (s *Space) Fill(addr Addr, v byte, n int) error {
+	r := s.RegionAt(addr)
+	if r == nil {
+		return fmt.Errorf("%w: fill %#x", ErrOutOfRange, addr)
+	}
+	if n < 0 || addr+Addr(n) > r.End() {
+		return fmt.Errorf("%w: fill past end of %q", ErrOutOfRange, r.label)
+	}
+	if r.protected {
+		return fmt.Errorf("%w: %q at %#x", ErrProtected, r.label, addr)
+	}
+	r.mem.Fill(int(addr-r.base), v, n)
 	return nil
 }
 

@@ -14,6 +14,7 @@
 package simtime
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 )
@@ -184,11 +185,16 @@ func (r *RNG) Jitter(d Duration, frac float64) Duration {
 // Bytes fills p with deterministic pseudo-random bytes. Applications use it
 // to generate transfer payloads whose content hashes are stable across runs,
 // which stage 3's content-based deduplication depends on.
+// Each Uint64 supplies the next eight bytes, least significant first.
 func (r *RNG) Bytes(p []byte) {
-	for i := 0; i < len(p); i += 8 {
+	for len(p) >= 8 {
+		binary.LittleEndian.PutUint64(p, r.Uint64())
+		p = p[8:]
+	}
+	if len(p) > 0 {
 		v := r.Uint64()
-		for j := 0; j < 8 && i+j < len(p); j++ {
-			p[i+j] = byte(v >> (8 * j))
+		for i := range p {
+			p[i] = byte(v >> (8 * i))
 		}
 	}
 }

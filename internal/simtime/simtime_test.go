@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +192,38 @@ func TestRNGBytesDeterministic(t *testing.T) {
 	}
 	if zero {
 		t.Fatal("Bytes produced all-zero output")
+	}
+}
+
+// TestRNGBytesMatchesBytewiseStream pins Bytes to the byte-at-a-time
+// stream it replaced: each Uint64 yields eight bytes, least significant
+// first, and a short tail consumes one more Uint64. Kernel writes and every
+// app payload hash depend on this stream.
+func TestRNGBytesMatchesBytewiseStream(t *testing.T) {
+	bytewise := func(r *RNG, p []byte) {
+		for i := 0; i < len(p); i += 8 {
+			v := r.Uint64()
+			for j := 0; j < 8 && i+j < len(p); j++ {
+				p[i+j] = byte(v >> (8 * j))
+			}
+		}
+	}
+	lengths := []int{64<<10 + 3}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		got, want := make([]byte, n), make([]byte, n)
+		gr, wr := NewRNG(uint64(n)+11), NewRNG(uint64(n)+11)
+		gr.Bytes(got)
+		bytewise(wr, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("len %d: Bytes diverges from the bytewise stream", n)
+		}
+		// Both consumed the same number of draws.
+		if gr.Uint64() != wr.Uint64() {
+			t.Fatalf("len %d: RNG state diverges after Bytes", n)
+		}
 	}
 }
 
