@@ -286,16 +286,11 @@ commands:
                             spilling to a per-job temp dir (0 = never spill)
       -timeout d            default per-job execution cap
       -drain d              graceful-shutdown drain budget (default 30s)
-      -peers a,b,c          shard-group peer list; this instance becomes one
-                            node of a consistent-hash group (submissions
-                            forward to their key's owner, job lookups proxy
-                            to the node that created them)
-      -self host:port       this node's advertised address within -peers
-                            (defaults to -addr)
-  loadgen [flags]           drive a serve node or shard group with a mixed
+  loadgen [flags]           drive one or more serve nodes with a mixed
                             workload; emits a per-cohort latency/throughput
                             matrix with validity gates (429s count as
-                            backpressure, transport failures invalidate)
+                            backpressure, transport failures invalidate,
+                            an all-429 cohort is reported as saturated)
       -targets a,b,c        serve base URLs (default http://127.0.0.1:8377)
       -clients n            concurrent client loops (default 4)
       -cohorts n            measurement cohorts (default 5; gated claims

@@ -12,15 +12,17 @@ import (
 	"time"
 )
 
-// Loadgen drives a serve node or shard group with a mixed
-// interactive/batch workload and reports a per-cohort latency and
-// throughput matrix. The methodology follows the repo's benchmarking
-// policy: runs execute in fixed-duration cohorts, each cohort passes a
-// validity gate before it may be aggregated, and final (gated) claims
-// require at least minValidCohorts valid cohorts. Backpressure (HTTP
-// 429) is a counted outcome, not an error — a bounded queue turning
-// work away is the serve layer working as designed; transport failures
-// and 5xx responses are what invalidate a cohort. Before each cohort a
+// Loadgen drives one or more serve nodes with a mixed interactive/batch
+// workload and reports a per-cohort latency and throughput matrix. The
+// methodology follows the repo's benchmarking policy: runs execute in
+// fixed-duration cohorts, each cohort passes a validity gate before it
+// may be aggregated, and final (gated) claims require at least
+// minValidCohorts valid cohorts. Backpressure (HTTP 429) is a counted
+// outcome, not an error — a bounded queue turning work away is the serve
+// layer working as designed; transport failures and 5xx responses are
+// what invalidate a cohort. A cohort whose every submission got 429 is
+// not valid either (it measured nothing but rejection) and is reported
+// as saturated, apart from the failed ones. Before each cohort a
 // drain barrier waits until every target reports an empty queue on
 // /healthz, so no cohort inherits an earlier cohort's backlog.
 func Loadgen(w io.Writer, args []string) error {
@@ -90,8 +92,7 @@ func Loadgen(w io.Writer, args []string) error {
 // claim the gated loadgen makes (the N>=5 rule).
 const minValidCohorts = 5
 
-// loadApps are the interactive submission targets, cycled per request
-// so the group's consistent-hash placement spreads keys across nodes.
+// loadApps are the interactive submission targets, drawn per request.
 var loadApps = []string{"rodinia_gaussian", "amg", "cuibm", "cumf_als"}
 
 // loadOutcome classifies one submission.
@@ -124,7 +125,8 @@ type CohortReport struct {
 	Throughput float64 `json:"throughput"`
 	// Valid reports the cohort's validity gate: no invalid outcomes and
 	// at least one accepted submission. Invalid cohorts are excluded
-	// from every aggregate.
+	// from every aggregate. Reason says why a cohort is not valid;
+	// reasonSaturated marks one whose every submission got 429.
 	Valid  bool   `json:"valid"`
 	Reason string `json:"reason,omitempty"`
 }
@@ -136,6 +138,10 @@ type LoadReport struct {
 	Mix          float64        `json:"interactiveMix"`
 	Cohorts      []CohortReport `json:"cohorts"`
 	ValidCohorts int            `json:"validCohorts"`
+	// SaturatedCohorts counts the not-valid cohorts that saw only 429s;
+	// the rest of the not-valid ones failed (transport error, 5xx, or an
+	// undrained queue).
+	SaturatedCohorts int `json:"saturatedCohorts"`
 	// Aggregates over valid cohorts only; zero-valued when none are.
 	AggThroughput float64 `json:"aggThroughput"`
 	AggP50Micros  int64   `json:"aggP50Micros"`
@@ -146,8 +152,8 @@ type LoadReport struct {
 // report is publishable.
 func (r *LoadReport) gateErr() error {
 	if r.ValidCohorts < minValidCohorts {
-		return fmt.Errorf("loadgen: validity gate failed: %d/%d cohorts valid, need >= %d (invalid cohorts must be rerun, not aggregated)",
-			r.ValidCohorts, len(r.Cohorts), minValidCohorts)
+		return fmt.Errorf("loadgen: validity gate failed: %d/%d cohorts valid (%d saturated), need >= %d (invalid cohorts must be rerun, not aggregated)",
+			r.ValidCohorts, len(r.Cohorts), r.SaturatedCohorts, minValidCohorts)
 	}
 	return nil
 }
@@ -167,6 +173,9 @@ func runLoad(urls []string, clients, cohorts int, dur time.Duration, mix, scale 
 	var thr float64
 	for i := range report.Cohorts {
 		co := &report.Cohorts[i]
+		if co.Reason == reasonSaturated {
+			report.SaturatedCohorts++
+		}
 		if !co.Valid {
 			continue
 		}
@@ -288,6 +297,8 @@ func runCohort(client *http.Client, urls []string, clients, index int, dur time.
 	switch {
 	case invalid > 0:
 		co.Reason = fmt.Sprintf("%d transport/5xx failures", invalid)
+	case accepted == 0 && co.Interactive.Backpressed+co.Batch.Backpressed > 0:
+		co.Reason = reasonSaturated
 	case accepted == 0:
 		co.Reason = "no accepted submissions"
 	default:
@@ -295,6 +306,11 @@ func runCohort(client *http.Client, urls []string, clients, index int, dur time.
 	}
 	return co
 }
+
+// reasonSaturated is the Reason of a cohort whose every submission got
+// HTTP 429: the targets were reachable and healthy but turned all work
+// away.
+const reasonSaturated = "saturated"
 
 // submitOnce posts one job and classifies the outcome. Latency is the
 // submission round trip — what a client waits before it holds a job ID
@@ -356,6 +372,9 @@ func writeLoadReport(w io.Writer, r *LoadReport) {
 		}
 	}
 	fmt.Fprintf(w, "\nvalid cohorts: %d/%d", r.ValidCohorts, len(r.Cohorts))
+	if failed := len(r.Cohorts) - r.ValidCohorts - r.SaturatedCohorts; r.SaturatedCohorts > 0 || failed > 0 {
+		fmt.Fprintf(w, " (%d saturated: only 429s; %d failed)", r.SaturatedCohorts, failed)
+	}
 	if r.ValidCohorts > 0 {
 		fmt.Fprintf(w, "; aggregate throughput %.1f accepted/s, p50 %dµs, p99 %dµs (valid cohorts only)",
 			r.AggThroughput, r.AggP50Micros, r.AggP99Micros)

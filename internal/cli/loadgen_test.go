@@ -88,6 +88,58 @@ func TestLoadgenGateFailsOnDeadTarget(t *testing.T) {
 	}
 }
 
+// TestLoadgenSaturatedCohorts: against a target that answers every
+// submission with 429, each cohort is reported as saturated — counted
+// apart from failed cohorts — and still fails the gate.
+func TestLoadgenSaturatedCohorts(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			fmt.Fprint(w, `{"status":"ok","queueDepth":0}`)
+			return
+		}
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+	}))
+	defer ts.Close()
+
+	jsonPath := filepath.Join(t.TempDir(), "load.json")
+	var out bytes.Buffer
+	err := Loadgen(&out, []string{
+		"-targets", ts.URL,
+		"-clients", "1",
+		"-cohorts", "5",
+		"-duration", "20ms",
+		"-json", jsonPath,
+		"-gate",
+	})
+	var ec *ExitCodeError
+	if !errors.As(err, &ec) || ec.Code != 3 {
+		t.Fatalf("gate on saturated cohorts: error %v, want ExitCodeError code 3\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "(5 saturated: only 429s; 0 failed)") {
+		t.Fatalf("report does not count saturated cohorts apart:\n%s", out.String())
+	}
+	raw, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep LoadReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.ValidCohorts != 0 || rep.SaturatedCohorts != 5 {
+		t.Fatalf("valid %d, saturated %d; want 0 and 5", rep.ValidCohorts, rep.SaturatedCohorts)
+	}
+	for _, co := range rep.Cohorts {
+		if co.Valid || co.Reason != "saturated" {
+			t.Fatalf("cohort %d: valid %v reason %q, want not valid and \"saturated\"", co.Index, co.Valid, co.Reason)
+		}
+		if co.Interactive.Backpressed+co.Batch.Backpressed == 0 {
+			t.Fatalf("cohort %d recorded no 429s", co.Index)
+		}
+	}
+}
+
 // TestDrainQueuesWaitsForEmptyQueue: the barrier between cohorts returns
 // only once /healthz reports depth 0, and gives up on a queue that never
 // drains.

@@ -9,13 +9,26 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"diogenes/internal/serve"
-	"diogenes/internal/serve/cluster"
 )
+
+// Connection bounds of the daemon's HTTP server. A client gets
+// readHeaderTimeout to send its request headers and an idle keep-alive
+// connection is closed after idleTimeout, so a slow or silent client
+// cannot hold a connection forever. There is deliberately no write
+// timeout: SSE streams and report downloads live as long as they need.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server around h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 // Serve runs the analysis pipeline as a long-lived HTTP daemon (see
 // internal/serve). It blocks until SIGINT/SIGTERM, then drains: accepted
@@ -42,31 +55,14 @@ func serveWithContext(ctx context.Context, w io.Writer, args []string) error {
 	fleetSpill := fs.Int64("fleet-spill", 0, "fleet-job resident-partial byte budget before spilling (0 = never spill)")
 	timeout := fs.Duration("timeout", 0, "default per-job execution cap (0 = none)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
-	peers := fs.String("peers", "", "comma-separated shard-group peer list (host:port,...); empty = single-node")
-	self := fs.String("self", "", "this node's advertised address within -peers (defaults to -addr)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("serve: unexpected argument %q", fs.Arg(0))
 	}
-	var group *cluster.Cluster
-	if *peers != "" {
-		selfAddr := *self
-		if selfAddr == "" {
-			selfAddr = *addr
-		}
-		var err error
-		group, err = cluster.New(selfAddr, strings.Split(*peers, ","))
-		if err != nil {
-			return err
-		}
-	} else if *self != "" {
-		return fmt.Errorf("serve: -self needs -peers (single-node mode has no shard group)")
-	}
 
 	srv, err := serve.New(serve.Options{
-		Cluster: group,
 		Workers:          *workers,
 		QueueCapacity:    *queueCap,
 		EngineWorkers:    *engineWorkers,
@@ -97,12 +93,9 @@ func serveWithContext(ctx context.Context, w io.Writer, args []string) error {
 	if *storeDir != "" {
 		fmt.Fprintf(w, ", store %s", *storeDir)
 	}
-	if group != nil {
-		fmt.Fprintf(w, ", node %s of %d", group.SelfName(), len(group.Peers()))
-	}
 	fmt.Fprintln(w, ")")
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

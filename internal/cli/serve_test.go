@@ -119,11 +119,35 @@ func TestServeRejectsBadFlags(t *testing.T) {
 	if err := serveWithContext(context.Background(), &strings.Builder{}, []string{"-queue", "-1"}); err == nil {
 		t.Fatal("negative queue capacity accepted")
 	}
+	if err := serveWithContext(context.Background(), &strings.Builder{}, []string{"-peers", "127.0.0.1:1"}); err == nil {
+		t.Fatal("removed -peers flag accepted")
+	}
 	if err := serveWithContext(context.Background(), &strings.Builder{}, []string{"stray"}); err == nil {
 		t.Fatal("stray positional argument accepted")
 	}
 	if err := serveWithContext(context.Background(), &strings.Builder{}, []string{"-addr", "not-an-address"}); err == nil {
 		t.Fatal("unlistenable address accepted")
+	}
+}
+
+// TestServeConnectionBounds pins the daemon's slow-client bounds on the
+// server the serve command actually builds: header and idle timeouts
+// set, no write timeout (SSE streams and report downloads are
+// long-lived).
+func TestServeConnectionBounds(t *testing.T) {
+	h := http.NotFoundHandler()
+	hs := newHTTPServer(h)
+	if hs.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none", hs.WriteTimeout)
+	}
+	if hs.Handler == nil {
+		t.Error("server has no handler")
 	}
 }
 

@@ -94,7 +94,7 @@ func TestChromeLayoutSequentialAndPinned(t *testing.T) {
 	if ev := at("demo"); ev.Dur != us(600) {
 		t.Errorf("parent dur=%g, want %g", ev.Dur, us(600))
 	}
-	if ev := at("demo"); ev.Args["records"] != "" {
+	if ev := at("demo"); ev.Args["records"] != nil {
 		t.Errorf("unexpected args on parent: %v", ev.Args)
 	}
 }

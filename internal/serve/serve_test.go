@@ -420,6 +420,38 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSingleNodeJobIDsUnqualified pins the job-ID form: IDs are "j<n>"
+// in submission order with no node qualifier, and a submission response
+// carries no X-Diogenes-* headers.
+func TestSingleNodeJobIDsUnqualified(t *testing.T) {
+	s, err := New(Options{Workers: 1, QueueCapacity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(testCtx(t))
+	j, err := s.Submit(Request{Kind: KindRun, App: "rodinia_gaussian", Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID != "j1" {
+		t.Fatalf("first job ID %q, want j1", j.ID)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	code, v, resp, raw := postJob(t, ts, `{"kind":"run","app":"cumf_als","scale":0.05}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, raw)
+	}
+	if v.ID != "j2" {
+		t.Fatalf("second job ID %q, want j2", v.ID)
+	}
+	for name := range resp.Header {
+		if strings.HasPrefix(name, "X-Diogenes-") {
+			t.Errorf("submission response carries %s", name)
+		}
+	}
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
 	s, err := New(Options{Workers: 2, QueueCapacity: 3})
 	if err != nil {

@@ -10,33 +10,13 @@
 package timeline
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"strconv"
 
 	"diogenes/internal/gpu"
+	"diogenes/internal/obs"
 	"diogenes/internal/simtime"
 	"diogenes/internal/trace"
 )
-
-// ChromeEvent is one Chrome trace event (the "X" complete-event form).
-type ChromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"`  // microseconds
-	Dur   float64        `json:"dur"` // microseconds
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// File is the top-level trace-event container.
-type File struct {
-	TraceEvents []ChromeEvent     `json:"traceEvents"`
-	Metadata    map[string]string `json:"otherData,omitempty"`
-}
 
 const (
 	pidProcess = 1
@@ -51,7 +31,7 @@ func usDur(d simtime.Duration) float64 { return float64(d) / float64(simtime.Mic
 // Build assembles a Chrome trace file from an annotated run (CPU rows) and
 // the device operation log (GPU rows). Either may be nil. It is the
 // model-then-render composition kept for existing callers.
-func Build(run *trace.Run, ops []*gpu.Op) *File {
+func Build(run *trace.Run, ops []*gpu.Op) *obs.ChromeFile {
 	return FromTrace(run, ops).Chrome()
 }
 
@@ -61,8 +41,9 @@ func Build(run *trace.Run, ops []*gpu.Op) *File {
 // The event layout is a pure function of the model, so byte-determinism of
 // the model carries over to the export. The file's otherData identifies
 // the capture: app, family/seed, ranks, and tool version when stamped.
-func (m *Model) Chrome() *File {
-	f := &File{Metadata: map[string]string{
+// It shares obs's trace_event types and writer with the span trace.
+func (m *Model) Chrome() *obs.ChromeFile {
+	f := &obs.ChromeFile{Metadata: map[string]string{
 		"tool":   "diogenes",
 		"format": "chrome-trace-events",
 	}}
@@ -101,7 +82,7 @@ func (m *Model) Chrome() *File {
 			if e.Protected {
 				args["firstUse_us"] = usDur(e.FirstUse)
 			}
-			f.TraceEvents = append(f.TraceEvents, ChromeEvent{
+			f.TraceEvents = append(f.TraceEvents, obs.ChromeEvent{
 				Name: e.Name, Cat: e.Cat, Phase: "X",
 				TS: us(e.Start), Dur: usDur(e.Dur),
 				PID: pidProcess, TID: lane.Row, Args: args,
@@ -110,7 +91,7 @@ func (m *Model) Chrome() *File {
 				// Render the wait portion as a nested slice at the end of
 				// the call, where the block happens.
 				waitStart := e.Start.Add(e.Dur - e.Wait)
-				f.TraceEvents = append(f.TraceEvents, ChromeEvent{
+				f.TraceEvents = append(f.TraceEvents, obs.ChromeEvent{
 					Name: "wait", Cat: "sync", Phase: "X",
 					TS: us(waitStart), Dur: usDur(e.Wait),
 					PID: pidProcess, TID: lane.Row,
@@ -122,14 +103,14 @@ func (m *Model) Chrome() *File {
 			// markers; the subtraction reproduces the historical float
 			// rounding exactly.
 			end := e.Start.Add(e.Dur)
-			f.TraceEvents = append(f.TraceEvents, ChromeEvent{
+			f.TraceEvents = append(f.TraceEvents, obs.ChromeEvent{
 				Name: e.Name, Cat: e.Cat, Phase: "X",
 				TS: us(e.Start), Dur: us(end) - us(e.Start),
 				PID: pidProcess, TID: lane.Row,
 				Args: map[string]any{"bytes": e.Bytes, "stream": e.Stream},
 			})
 		default: // rank and barrier lanes: plain slices, no args
-			f.TraceEvents = append(f.TraceEvents, ChromeEvent{
+			f.TraceEvents = append(f.TraceEvents, obs.ChromeEvent{
 				Name: e.Name, Cat: e.Cat, Phase: "X",
 				TS: us(e.Start), Dur: usDur(e.Dur),
 				PID: pidProcess, TID: lane.Row,
@@ -137,43 +118,4 @@ func (m *Model) Chrome() *File {
 		}
 	}
 	return f
-}
-
-// Write serializes the file as JSON.
-func (f *File) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
-}
-
-// Read parses a trace file written by Write.
-func Read(r io.Reader) (*File, error) {
-	var f File
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("timeline: decoding: %w", err)
-	}
-	return &f, nil
-}
-
-// Span returns the time range covered by the events, in microseconds.
-func (f *File) Span() (start, end float64) {
-	first := true
-	for _, e := range f.TraceEvents {
-		if first || e.TS < start {
-			start = e.TS
-		}
-		if first || e.TS+e.Dur > end {
-			end = e.TS + e.Dur
-		}
-		first = false
-	}
-	return start, end
-}
-
-// RowCount returns the number of distinct rows (tids) in the file.
-func (f *File) RowCount() int {
-	rows := map[int]bool{}
-	for _, e := range f.TraceEvents {
-		rows[e.TID] = true
-	}
-	return len(rows)
 }

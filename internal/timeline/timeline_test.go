@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"diogenes/internal/gpu"
+	"diogenes/internal/obs"
 	"diogenes/internal/simtime"
 	"diogenes/internal/trace"
 )
@@ -35,6 +36,28 @@ func sample() (*trace.Run, []*gpu.Op) {
 	return run, ops
 }
 
+// span returns the time range covered by f's events, in microseconds.
+func span(f *obs.ChromeFile) (start, end float64) {
+	for i, e := range f.TraceEvents {
+		if i == 0 || e.TS < start {
+			start = e.TS
+		}
+		if i == 0 || e.TS+e.Dur > end {
+			end = e.TS + e.Dur
+		}
+	}
+	return start, end
+}
+
+// rowCount returns the number of distinct rows (tids) in f.
+func rowCount(f *obs.ChromeFile) int {
+	rows := map[int]bool{}
+	for _, e := range f.TraceEvents {
+		rows[e.TID] = true
+	}
+	return len(rows)
+}
+
 func TestBuildRows(t *testing.T) {
 	run, ops := sample()
 	f := Build(run, ops)
@@ -42,10 +65,10 @@ func TestBuildRows(t *testing.T) {
 	if len(f.TraceEvents) != 5 {
 		t.Fatalf("events = %d, want 5", len(f.TraceEvents))
 	}
-	if f.RowCount() != 3 { // CPU + stream 0 + stream 2
-		t.Fatalf("rows = %d, want 3", f.RowCount())
+	if n := rowCount(f); n != 3 { // CPU + stream 0 + stream 2
+		t.Fatalf("rows = %d, want 3", n)
 	}
-	start, end := f.Span()
+	start, end := span(f)
 	if start != 50 || end != 700 {
 		t.Fatalf("span = [%v, %v], want [50, 700]", start, end)
 	}
@@ -54,7 +77,7 @@ func TestBuildRows(t *testing.T) {
 func TestWaitSlicePlacement(t *testing.T) {
 	run, _ := sample()
 	f := Build(run, nil)
-	var wait *ChromeEvent
+	var wait *obs.ChromeEvent
 	for i := range f.TraceEvents {
 		if f.TraceEvents[i].Name == "wait" {
 			wait = &f.TraceEvents[i]
@@ -110,7 +133,7 @@ func TestRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), `"traceEvents"`) {
 		t.Fatal("missing traceEvents key")
 	}
-	got, err := Read(&buf)
+	got, err := obs.ReadChrome(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,17 +146,17 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestReadGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("{")); err == nil {
+	if _, err := obs.ReadChrome(strings.NewReader("{")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
 func TestEmptyFile(t *testing.T) {
 	f := Build(nil, nil)
-	if f.RowCount() != 0 {
+	if rowCount(f) != 0 {
 		t.Fatal("empty build has rows")
 	}
-	s, e := f.Span()
+	s, e := span(f)
 	if s != 0 || e != 0 {
 		t.Fatal("empty span nonzero")
 	}
